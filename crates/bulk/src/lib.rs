@@ -69,7 +69,7 @@ pub use scan::{
     LaunchOutput, LockstepBackend, MetricsLayer, NoSimulatedClock, PipelineReport,
     ProductTreeBackend, ResumableReport, RetryLayer, ScalarBackend, ScanBackend, ScanError,
     ScanMetrics, ScanPipeline, ScanReport, AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION,
-    AUTO_PRODUCT_TREE_MIN_MODULI, DEFAULT_LAUNCH_PAIRS,
+    AUTO_PRODUCT_TREE_MIN_BITS, DEFAULT_LAUNCH_PAIRS,
 };
 #[allow(deprecated)]
 pub use scan::{

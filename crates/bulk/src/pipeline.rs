@@ -5,7 +5,7 @@
 //! output working private keys for every vulnerable modulus.
 
 use crate::arena::ModuliArena;
-use crate::scan::{Finding, ScanError, ScanPipeline, ScanReport};
+use crate::scan::{AutoBackend, Finding, ScanError, ScanPipeline, ScanReport};
 use bulkgcd_core::Algorithm;
 use bulkgcd_rsa::{recover_private_key, PrivateKey, PublicKey};
 
@@ -56,15 +56,26 @@ pub fn recover_keys(keys: &[PublicKey], findings: &[Finding]) -> Vec<BrokenKey> 
     broken
 }
 
-/// Scan all pairs of `keys` on the CPU with `algo` (early termination on)
-/// and recover a private key for every vulnerable modulus.
+/// Scan all pairs of `keys` through [`AutoBackend`] and recover a private
+/// key for every vulnerable modulus.
+///
+/// Corpora of at least [`AUTO_PRODUCT_TREE_MIN_BITS`] bits go through the
+/// product tree; smaller ones get the pairwise scan Auto picks, running
+/// `algo` with early termination on. On RSA moduli (two half-width primes
+/// each) the findings are the same either way.
 ///
 /// An empty key list is a corpus the arena refuses to pack, reported as
 /// [`ScanError::Arena`] rather than a panic.
+///
+/// [`AUTO_PRODUCT_TREE_MIN_BITS`]: crate::scan::AUTO_PRODUCT_TREE_MIN_BITS
 pub fn break_weak_keys(keys: &[PublicKey], algo: Algorithm) -> Result<BreakReport, ScanError> {
     let moduli: Vec<_> = keys.iter().map(|k| k.n.clone()).collect();
     let arena = ModuliArena::try_from_moduli(&moduli)?;
-    let scan = ScanPipeline::new(&arena).algorithm(algo).run()?.scan;
+    let scan = ScanPipeline::new(&arena)
+        .algorithm(algo)
+        .backend(AutoBackend::default())
+        .run()?
+        .scan;
     let broken = recover_keys(keys, &scan.findings);
     Ok(BreakReport { scan, broken })
 }

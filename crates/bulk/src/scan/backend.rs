@@ -645,13 +645,16 @@ fn product_tree_findings(cx: &ExecCtx<'_>, parallel: bool) -> Vec<Finding> {
 // AutoBackend — probe the corpus, pick the fastest strategy.
 // ---------------------------------------------------------------------------
 
-/// Corpus sizes at/above this many moduli resolve to the product-tree
-/// baseline: batch GCD is quasi-linear in the corpus while every pairwise
-/// backend is quadratic, so past this point the tree always wins. The
-/// subquadratic arithmetic ladder (Toom-3/NTT multiply, Newton division,
-/// half-GCD) cut the tree's node costs enough to pull this crossover down
-/// from its pre-ladder 4096 (see `BENCH_scan.json` batch-tree rows).
-pub const AUTO_PRODUCT_TREE_MIN_MODULI: usize = 2048;
+/// Corpus size, in bits (`m × stride × LIMB_BITS`), at/above which a
+/// whole-corpus run resolves to the product-tree baseline. Batch GCD is
+/// quasi-linear in the corpus while every pairwise backend is quadratic,
+/// so the crossover is a corpus-size rule, not a key count. Measured
+/// (best-of-7 in-process scan times, tree speed over the best pairwise
+/// backend): 512 × 128-bit 5.26× (4.52× on 2 threads), 256 × 256 3.30×
+/// (2.54×), 128 × 512 2.47× (1.70×), 64 × 1024 1.72× (1.30×). Below the
+/// line the pairwise scan wins on 2 threads: the tree runs 0.32× at
+/// 32 × 128, 0.81× at 64 × 128 and 0.90× at 32 × 1024.
+pub const AUTO_PRODUCT_TREE_MIN_BITS: usize = 65_536;
 
 /// Minimum operand width (bits) below which compacted lockstep still loses
 /// to the scalar scan on the bench matrix and the selector picks scalar.
@@ -683,9 +686,9 @@ enum AutoChoice {
 /// and a [`StatsProbe`] divergence sample over a deterministic pair
 /// prefix) and resolves to the fastest fixed strategy for that corpus:
 ///
-/// 1. **Product tree** when the corpus has at least
-///    `product_tree_min_moduli` moduli — quasi-linear beats any pairwise
-///    scan at scale.
+/// 1. **Product tree** when the run is whole-corpus and the corpus holds
+///    at least [`AUTO_PRODUCT_TREE_MIN_BITS`] bits (`m × width`) —
+///    quasi-linear beats any pairwise scan past that size.
 /// 2. **Scalar** when operands are narrower than
 ///    [`AUTO_LOCKSTEP_MIN_BITS`], when the algorithm is not Approximate
 ///    Euclid (the lockstep engine is AEA-only), or when the shallow probe
@@ -696,18 +699,15 @@ enum AutoChoice {
 /// The decision is cached per backend instance, so construct one
 /// `AutoBackend` per corpus (the convenience [`Backend::Auto`] constructs
 /// one per call and re-derives the decision — same answer, repeated
-/// probe). In launch-driven (layered/journaled) runs a product-tree
-/// resolution degrades to the scalar executor, since the tree has no
-/// launch structure to checkpoint.
+/// probe). Launch-driven (layered, journaled or tiled) runs never take the
+/// whole-corpus path — the tree has no launch structure to checkpoint — so
+/// they resolve by rules 2 and 3 at any corpus size.
 #[derive(Debug, Clone, Default)]
 pub struct AutoBackend {
     /// Lanes per warp for the lockstep resolution (0 → default 32).
     pub warp_width: usize,
     /// Compaction tuning for the lockstep resolution.
     pub compaction: CompactionConfig,
-    /// Corpus size at which the product tree takes over.
-    /// 0 → [`AUTO_PRODUCT_TREE_MIN_MODULI`].
-    pub product_tree_min_moduli: usize,
     /// How many adjacent-index pairs the divergence probe runs
     /// (0 → default 64).
     pub probe_pairs: usize,
@@ -732,63 +732,67 @@ impl AutoBackend {
         }
     }
 
-    fn tree_min(&self) -> usize {
-        if self.product_tree_min_moduli == 0 {
-            AUTO_PRODUCT_TREE_MIN_MODULI
-        } else {
-            self.product_tree_min_moduli
-        }
-    }
-
     /// Resolve (once per instance) which strategy this corpus gets.
-    fn decide(&self, cx: &ExecCtx<'_>) -> AutoChoice {
+    /// `whole_corpus` is whether the caller can run the product tree (a
+    /// [`run_whole`](ScanBackend::run_whole) call) rather than needing a
+    /// launch executor.
+    fn decide(&self, cx: &ExecCtx<'_>, whole_corpus: bool) -> AutoChoice {
         *self.choice.get_or_init(|| {
             let arena = cx.arena;
-            let m = arena.len();
-            if m >= self.tree_min() {
-                return AutoChoice::ProductTree;
-            }
-            if cx.algo != Algorithm::Approximate {
-                // The lockstep engine executes AEA only; other variants
-                // run scalar.
-                return AutoChoice::Scalar;
-            }
-            if arena.stride() * (LIMB_BITS as usize) < AUTO_LOCKSTEP_MIN_BITS {
-                return AutoChoice::Scalar;
-            }
-            // Divergence probe: run a deterministic prefix of adjacent
-            // pairs through the scalar AEA with a StatsProbe and measure
-            // the β > 0 fraction. Each sampled pair is probed shallowly —
-            // early-terminated after [`AUTO_PROBE_DEPTH_BITS`] bits of
-            // reduction — so the probe costs a small fraction of a full
-            // GCD per pair and stays negligible next to the scan itself.
-            let sample = if self.probe_pairs == 0 {
-                64
+            let corpus_bits = arena.len() * arena.stride() * LIMB_BITS as usize;
+            if whole_corpus && corpus_bits >= AUTO_PRODUCT_TREE_MIN_BITS {
+                AutoChoice::ProductTree
             } else {
-                self.probe_pairs
-            };
-            let width_bits = (arena.stride() * LIMB_BITS as usize) as u64;
-            let depth = Termination::Early {
-                threshold_bits: width_bits.saturating_sub(AUTO_PROBE_DEPTH_BITS).max(1),
-            };
-            let mut probe = StatsProbe::default();
-            let mut pair = GcdPair::with_capacity(arena.stride());
-            for i in 0..m.saturating_sub(1).min(sample) {
-                pair.load_from_limbs(arena.limbs(i), arena.limbs(i + 1));
-                run_in_place(Algorithm::Approximate, &mut pair, depth, &mut probe);
-            }
-            let s = &probe.stats;
-            let beta_frac = if s.iterations == 0 {
-                0.0
-            } else {
-                s.beta_nonzero as f64 / s.iterations as f64
-            };
-            if beta_frac > AUTO_MAX_BETA_FRACTION {
-                AutoChoice::Scalar
-            } else {
-                AutoChoice::Lockstep
+                self.pairwise_choice(cx)
             }
         })
+    }
+
+    /// The width and β-probe rules: the best pairwise strategy.
+    fn pairwise_choice(&self, cx: &ExecCtx<'_>) -> AutoChoice {
+        if cx.algo != Algorithm::Approximate {
+            // The lockstep engine executes AEA only; other variants
+            // run scalar.
+            return AutoChoice::Scalar;
+        }
+        let arena = cx.arena;
+        let width_bits = arena.stride() * LIMB_BITS as usize;
+        if width_bits < AUTO_LOCKSTEP_MIN_BITS {
+            return AutoChoice::Scalar;
+        }
+        // Divergence probe: run a deterministic prefix of adjacent
+        // pairs through the scalar AEA with a StatsProbe and measure
+        // the β > 0 fraction. Each sampled pair is probed shallowly —
+        // early-terminated after [`AUTO_PROBE_DEPTH_BITS`] bits of
+        // reduction — so the probe costs a small fraction of a full
+        // GCD per pair and stays negligible next to the scan itself.
+        let sample = if self.probe_pairs == 0 {
+            64
+        } else {
+            self.probe_pairs
+        };
+        let depth = Termination::Early {
+            threshold_bits: (width_bits as u64)
+                .saturating_sub(AUTO_PROBE_DEPTH_BITS)
+                .max(1),
+        };
+        let mut probe = StatsProbe::default();
+        let mut pair = GcdPair::with_capacity(arena.stride());
+        for i in 0..arena.len().saturating_sub(1).min(sample) {
+            pair.load_from_limbs(arena.limbs(i), arena.limbs(i + 1));
+            run_in_place(Algorithm::Approximate, &mut pair, depth, &mut probe);
+        }
+        let s = &probe.stats;
+        let beta_frac = if s.iterations == 0 {
+            0.0
+        } else {
+            s.beta_nonzero as f64 / s.iterations as f64
+        };
+        if beta_frac > AUTO_MAX_BETA_FRACTION {
+            AutoChoice::Scalar
+        } else {
+            AutoChoice::Lockstep
+        }
     }
 }
 
@@ -810,18 +814,22 @@ impl ScanBackend for AutoBackend {
     }
 
     fn executor(&self, cx: &ExecCtx<'_>) -> Box<dyn LaunchExecutor + Send> {
-        match self.decide(cx) {
+        let choice = match self.decide(cx, false) {
+            // Only an instance reused after a whole-corpus tree run gets
+            // here: drive the launches by the pairwise rules instead.
+            AutoChoice::ProductTree => self.pairwise_choice(cx),
+            choice => choice,
+        };
+        match choice {
             AutoChoice::Lockstep => LockstepBackend::new(self.width())
                 .with_compaction(self.compaction)
                 .executor(cx),
-            // Product-tree corpora normally exit via run_whole before any
-            // executor is minted; launch-driven drivers degrade to scalar.
             AutoChoice::Scalar | AutoChoice::ProductTree => ScalarBackend.executor(cx),
         }
     }
 
     fn run_whole(&self, cx: &ExecCtx<'_>) -> Option<Vec<Finding>> {
-        match self.decide(cx) {
+        match self.decide(cx, true) {
             AutoChoice::ProductTree => Some(product_tree_findings(cx, true)),
             AutoChoice::Scalar | AutoChoice::Lockstep => None,
         }

@@ -47,7 +47,7 @@ pub mod report;
 pub use backend::{
     combine_terminations, scan_block_into, AutoBackend, Backend, ExecCtx, GpuSimBackend,
     LaunchExecutor, LaunchOutput, LockstepBackend, ProductTreeBackend, ScalarBackend, ScanBackend,
-    AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_MODULI,
+    AUTO_LOCKSTEP_MIN_BITS, AUTO_MAX_BETA_FRACTION, AUTO_PRODUCT_TREE_MIN_BITS,
 };
 pub use layers::{CheckpointLayer, FaultLayer, MetricsLayer, RetryLayer};
 pub use report::{

@@ -17,7 +17,8 @@
 
 use bulkgcd_bigint::{Limb, Nat};
 use bulkgcd_bulk::{
-    Backend, CompactionConfig, LockstepBackend, LockstepEngine, ModuliArena, ScanPipeline,
+    AutoBackend, Backend, CompactionConfig, LockstepBackend, LockstepEngine, ModuliArena,
+    ScanPipeline, AUTO_PRODUCT_TREE_MIN_BITS,
 };
 use bulkgcd_core::{run_in_place, Algorithm, GcdPair, GcdStatus, NoProbe, StepKind, Termination};
 use bulkgcd_gpu::{execute_warp, CostModel, DeviceConfig, WarpWork};
@@ -197,13 +198,16 @@ proptest! {
 
 /// Pipeline-level finding equivalence: plain lockstep, compacted lockstep,
 /// and the auto selector all land on the scalar pipeline's findings, byte
-/// for byte, on corpora with planted shared primes.
+/// for byte, on corpora with planted shared primes. The 256 × 256-bit
+/// corpus sits on Auto's product-tree crossover
+/// ([`AUTO_PRODUCT_TREE_MIN_BITS`]), so Auto runs the tree there.
 #[test]
 fn compacted_and_auto_backends_match_scalar_findings() {
-    for bits in [128u64, 512] {
+    for (keys, bits) in [(24, 128u64), (24, 512), (256, 256)] {
         let mut rng = StdRng::seed_from_u64(0xc0ffee ^ bits);
-        let moduli = build_corpus(&mut rng, 24, bits, 2).moduli();
+        let moduli = build_corpus(&mut rng, keys, bits, 2).moduli();
         let arena = ModuliArena::try_from_moduli(&moduli).expect("non-degenerate corpus");
+        let above_crossover = keys * bits as usize >= AUTO_PRODUCT_TREE_MIN_BITS;
         let reference = ScanPipeline::new(&arena)
             .run()
             .expect("scalar scan")
@@ -223,6 +227,19 @@ fn compacted_and_auto_backends_match_scalar_findings() {
                 "{backend:?} findings diverge at {bits} bits"
             );
         }
+        let resolved = ScanPipeline::new(&arena)
+            .backend(AutoBackend::default())
+            .metrics()
+            .run()
+            .expect("auto scan")
+            .metrics
+            .expect("metrics layer collects")
+            .backend;
+        assert_eq!(
+            resolved == "auto:product-tree",
+            above_crossover,
+            "auto resolved to {resolved} on {keys} × {bits}-bit keys"
+        );
     }
 }
 

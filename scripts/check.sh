@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline-friendly pre-merge gate: formatting, lints, and the tier-1 tests.
+# Offline-friendly pre-merge gate: formatting, lints, the tier-1 tests and
+# every workspace test.
 # All dependencies are vendored under vendor/, so no network is needed.
 #
 # Usage: scripts/check.sh [--no-clippy] [--no-fmt] [--no-analyze] [--analyze-only]
@@ -66,6 +67,9 @@ fi
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "== workspace tests: every crate's unit, integration and proptest suites"
+cargo test --workspace -q
 
 if [ "$run_analyze" = 1 ]; then
     analyze_gate
