@@ -5,9 +5,10 @@
 //!
 //! [`div_rem_slices`] is the dispatch entry every caller goes through;
 //! [`div_rem_knuth`] pins the quadratic algorithm for oracles and for the
-//! perf gate's legacy arm. The `_into` variant threads caller-owned
-//! buffers ([`DivScratch`]) so the remainder-tree descent divides without
-//! allocating per node.
+//! perf gate's legacy arm. [`reciprocal_into`] is the scaled reciprocal
+//! `⌊β^p / v⌋` on the same ladder; below the Newton cutoff it runs in
+//! caller-owned buffers ([`DivScratch`]), so the batch-GCD root divides
+//! without allocating.
 
 use crate::limb::{div2by1, lo, sbb, Limb, LIMB_BITS};
 use crate::nat::Nat;
@@ -39,10 +40,10 @@ pub fn div_rem_limb_into(a: &[Limb], d: Limb, q: &mut Vec<Limb>) -> Limb {
     rem
 }
 
-/// Caller-owned working memory for [`div_rem_knuth_into`]: the shifted
-/// dividend and divisor of Knuth's D1 normalization step. Reusing one
-/// scratch across a remainder-tree descent removes every per-node
-/// allocation of the hot loop.
+/// Caller-owned working memory for [`div_rem_knuth_into`] and
+/// [`reciprocal_into`]: the shifted dividend and divisor of Knuth's D1
+/// normalization step. A reused scratch makes repeated Knuth divisions
+/// allocation-free.
 #[derive(Default)]
 pub struct DivScratch {
     u: Vec<Limb>,
@@ -134,8 +135,26 @@ pub fn div_rem_knuth_into(
         v.truncate(n);
     }
     debug_assert_eq!(v.len(), lb, "normalizing shift must not change length");
-    let n = lb;
-    let m = la - lb;
+    knuth_loop(u, v, q);
+
+    // D8: denormalize the remainder.
+    r.extend_from_slice(&u[..lb]);
+    if shift > 0 {
+        ops::shr_in_place(r, shift as u64);
+    }
+    q.truncate(ops::normalized_len(q));
+    r.truncate(ops::normalized_len(r));
+}
+
+/// Knuth D2–D7 on a normalized divisor `v` (top bit set, at least two
+/// limbs) and a dividend `u` already shifted by the same amount, with its
+/// spare top limb: `u.len() = la + 1`, `la ≥ v.len()`. Writes the
+/// quotient digits into `q` (`la − v.len() + 1` limbs, unnormalized) and
+/// leaves the shifted remainder in `u[..v.len()]`.
+fn knuth_loop(u: &mut [Limb], v: &[Limb], q: &mut Vec<Limb>) {
+    let n = v.len();
+    let m = u.len() - 1 - n;
+    q.clear();
     q.resize(m + 1, 0);
     let v_hi = v[n - 1];
     let v_next = v[n - 2];
@@ -188,14 +207,51 @@ pub fn div_rem_knuth_into(
         }
         q[j] = qj;
     }
+}
 
-    // D8: denormalize the remainder.
-    r.extend_from_slice(&u[..n]);
-    if shift > 0 {
-        ops::shr_in_place(r, shift as u64);
+/// `⌊β^p / v⌋` (β = 2³²) into `q`, normalized: the scaled reciprocal a
+/// batch-GCD descent starts from. Dispatched like division: Knuth
+/// Algorithm D on `β^p` through `scratch` (allocation-free once warm)
+/// below [`thresholds::NEWTON_DIV`], one Newton reciprocal above it —
+/// computed at precision `max(p, 2·len(v))` and truncated, since
+/// `⌊⌊x⌋/β^j⌋ = ⌊x/β^j⌋`. Panics on a zero divisor.
+pub fn reciprocal_into(v: &[Limb], p: usize, q: &mut Vec<Limb>, scratch: &mut DivScratch) {
+    let lv = ops::normalized_len(v);
+    assert!(lv != 0, "division by zero");
+    let v = &v[..lv];
+    let wide = p.max(2 * lv);
+    if newton_applies(wide + 1, lv) {
+        let r = newton::reciprocal(v, wide);
+        q.clear();
+        q.extend_from_slice(r.get(wide - p..).unwrap_or(&[]));
+        return;
     }
+    if p + 1 < lv {
+        // β^p < β^{lv−1} ≤ v.
+        q.clear();
+        return;
+    }
+    // β^p, normalized by the divisor's shift, plus Knuth's spare top limb.
+    let shift = v[lv - 1].leading_zeros();
+    let u = &mut scratch.u;
+    u.clear();
+    u.resize(p + 2, 0);
+    if lv == 1 {
+        u[p] = 1;
+        div_rem_limb_into(&u[..p + 1], v[0], q);
+        return;
+    }
+    u[p] = 1 << shift;
+    let vs = &mut scratch.v;
+    vs.clear();
+    vs.extend_from_slice(v);
+    if shift > 0 {
+        vs.push(0);
+        let n = ops::shl_in_place(vs, shift as u64);
+        vs.truncate(n);
+    }
+    knuth_loop(u, vs, q);
     q.truncate(ops::normalized_len(q));
-    r.truncate(ops::normalized_len(r));
 }
 
 impl Nat {
@@ -204,26 +260,6 @@ impl Nat {
     pub fn div_rem(&self, other: &Nat) -> (Nat, Nat) {
         let (q, r) = div_rem_slices(self.limbs(), other.limbs());
         (Nat::from_vec(q), Nat::from_vec(r))
-    }
-
-    /// [`Nat::div_rem`] into caller-owned `Nat`s plus division scratch —
-    /// the remainder-tree descent's zero-allocation steady state. `q` and
-    /// `r` are overwritten (their buffers reused); the Newton path above
-    /// the cutoff still allocates internally, which the tree amortizes
-    /// over the huge operand widths that reach it.
-    pub fn div_rem_into(&self, other: &Nat, q: &mut Nat, r: &mut Nat, scratch: &mut DivScratch) {
-        let la = self.len();
-        let lb = other.len();
-        if newton_applies(la, lb) {
-            let (qq, rr) = newton::div_rem_newton(self.limbs(), other.limbs());
-            q.assign_limbs(&qq);
-            r.assign_limbs(&rr);
-            return;
-        }
-        // The slice kernel cannot alias `self`/`other` with `q`/`r`, so
-        // split the borrows by taking the raw buffers first.
-        let (a, b) = (self.limbs(), other.limbs());
-        div_rem_knuth_into(a, b, q.limbs_mut(), r.limbs_mut(), scratch);
     }
 
     /// Rounded-down quotient (the paper's `div` operator).
@@ -329,27 +365,40 @@ mod tests {
     }
 
     #[test]
-    fn into_variant_reuses_buffers_and_matches() {
-        let mut state = 0xc0ff_ee00_dead_0042u64;
+    fn reciprocal_matches_knuth_on_both_rungs() {
+        // ⌊β^p / v⌋ against Knuth on the explicit numerator: narrow
+        // divisors (Knuth through the scratch), and divisors on both sides
+        // of the Newton cutoff with p around 2·len(v).
+        let mut state = 0x5ca1_ed00_f00d_0001u64;
         let mut next = move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state
+            lo(state)
         };
-        let mut q = Nat::default();
-        let mut r = Nat::default();
+        let cut = thresholds::NEWTON_DIV.get().min(1 << 12);
         let mut scratch = DivScratch::new();
-        for _ in 0..50 {
-            let a = Nat::from_u128(((next() as u128) << 64) | next() as u128);
-            let b = Nat::from_u128((next() as u128 | 1) >> (next() % 100));
-            if b.is_zero() {
-                continue;
+        let mut q = Vec::new();
+        for (lv, ps) in [
+            (1usize, vec![0usize, 1, 5]),
+            (2, vec![0, 1, 2, 3, 9]),
+            (7, vec![6, 7, 14, 20]),
+            (33, vec![66, 67, 80]),
+            (cut - 1, vec![2 * cut - 2, 2 * cut + 3]),
+            (cut, vec![2 * cut - 5, 2 * cut, 2 * cut + 9]),
+            (cut + 40, vec![2 * cut + 80, 2 * cut + 91]),
+        ] {
+            for top in [1u32, 0x1234, u32::MAX] {
+                let mut v: Vec<Limb> = (0..lv).map(|_| next()).collect();
+                v[lv - 1] = top;
+                for &p in &ps {
+                    let mut num = vec![0; p + 1];
+                    num[p] = 1;
+                    let (expect, _) = div_rem_knuth(&num, &v);
+                    reciprocal_into(&v, p, &mut q, &mut scratch);
+                    assert_eq!(q, expect, "lv={lv} top={top:#x} p={p}");
+                }
             }
-            a.div_rem_into(&b, &mut q, &mut r, &mut scratch);
-            let (qe, re) = a.div_rem(&b);
-            assert_eq!(q, qe);
-            assert_eq!(r, re);
         }
     }
 }

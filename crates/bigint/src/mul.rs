@@ -47,9 +47,61 @@ pub fn mul_limb(out: &mut [Limb], a: &[Limb], m: Limb) -> Limb {
     carry
 }
 
+/// Reusable working memory for the Karatsuba rung and the unbalanced chop
+/// of the multiply ladder: every temporary of those recursions (the three
+/// Karatsuba sub-products, the operand sums, the chop's chunk product) is
+/// carved out of one buffer. A warm scratch makes products below the
+/// Toom-3 cutoff allocation-free; the Toom-3 and NTT rungs still allocate
+/// internally.
+#[derive(Default)]
+pub struct MulScratch {
+    buf: Vec<Limb>,
+}
+
+impl MulScratch {
+    /// Empty scratch; it grows on first use and is reused after.
+    pub fn new() -> Self {
+        MulScratch::default()
+    }
+}
+
+/// Workspace limbs the Karatsuba/chop rungs need for an `la × lb` product,
+/// every recursion frame included; 0 when the product never reaches them.
+/// A Karatsuba frame on `n` limbs uses at most `4n + 8` and recurses on
+/// operands of at most `n/2 + 2` limbs, so `10n + 64` covers the whole
+/// recursion; a chop frame uses `2·lb` and recurses on `lb × lb`.
+fn scratch_len(la: usize, lb: usize) -> usize {
+    let (long, short) = (la.max(lb), la.min(lb));
+    if short < thresholds::KARATSUBA.get() {
+        return 0;
+    }
+    if short >= thresholds::TOOM3.get() {
+        // Balanced products go to Toom-3/NTT, which allocate their own.
+        return if long > 2 * short { 2 * short } else { 0 };
+    }
+    10 * long.min(2 * short) + 64
+}
+
 /// Width-dispatched product into `out` (zeroed, `len >= a.len()+b.len()`).
 /// The single entry point of the multiply ladder; see the module docs.
 pub fn mul_dispatch(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    mul_rec(out, a, b, &mut []);
+}
+
+/// [`mul_dispatch`] with caller-owned Karatsuba/chop workspace: the
+/// scratch grows to the product's need once and is reused after.
+pub fn mul_dispatch_with(out: &mut [Limb], a: &[Limb], b: &[Limb], scratch: &mut MulScratch) {
+    let need = scratch_len(a.len(), b.len());
+    if scratch.buf.len() < need {
+        scratch.buf.resize(need, 0);
+    }
+    mul_rec(out, a, b, &mut scratch.buf);
+}
+
+/// The ladder itself. `ws` is workspace for the Karatsuba and chop frames;
+/// a frame that finds it too short allocates its own (so [`mul_dispatch`]
+/// passes none and pays one allocation per top-level frame).
+fn mul_rec(out: &mut [Limb], a: &[Limb], b: &[Limb], ws: &mut [Limb]) {
     let (a, b) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     // a is the longer operand.
     if b.is_empty() {
@@ -60,20 +112,7 @@ pub fn mul_dispatch(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
         return;
     }
     if a.len() > 2 * b.len() {
-        // Unbalanced: chop `a` into b.len()-sized chunks, each near-balanced.
-        let chunk = b.len();
-        let mut tmp = vec![0; chunk + b.len()];
-        let mut off = 0;
-        while off < a.len() {
-            let hi = (off + chunk).min(a.len());
-            let part = &a[off..hi];
-            tmp.truncate(0);
-            tmp.resize(part.len() + b.len(), 0);
-            mul_dispatch(&mut tmp, part, b);
-            let carry = ops::add_assign(&mut out[off..], &tmp);
-            debug_assert_eq!(carry, 0);
-            off = hi;
-        }
+        mul_chop(out, a, b, ws);
         return;
     }
     if b.len() >= thresholds::NTT.get() && a.len() + b.len() <= ntt::MAX_NTT_TOTAL_LIMBS {
@@ -84,59 +123,93 @@ pub fn mul_dispatch(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
         toom::mul_toom3_into(out, a, b);
         return;
     }
-    mul_karatsuba(out, a, b);
+    mul_karatsuba(out, a, b, ws);
+}
+
+/// Unbalanced product (`a.len() > 2·b.len()`): chop `a` into
+/// `b.len()`-sized chunks, each near-balanced against `b`.
+fn mul_chop(out: &mut [Limb], a: &[Limb], b: &[Limb], ws: &mut [Limb]) {
+    let chunk = b.len();
+    if ws.len() < 2 * chunk {
+        let mut own = vec![0; scratch_len(a.len(), b.len()).max(2 * chunk)];
+        return mul_chop(out, a, b, &mut own);
+    }
+    let (tmp, ws) = ws.split_at_mut(2 * chunk);
+    let mut off = 0;
+    while off < a.len() {
+        let hi = (off + chunk).min(a.len());
+        let part = &a[off..hi];
+        let t = &mut tmp[..part.len() + b.len()];
+        t.fill(0);
+        mul_rec(t, part, b, ws);
+        let carry = ops::add_assign(&mut out[off..], t);
+        debug_assert_eq!(carry, 0);
+        off = hi;
+    }
 }
 
 /// Balanced Karatsuba product into `out` (zeroed, len >= a.len()+b.len()).
 /// Requires `a.len() >= b.len()` and `a.len() <= 2·b.len()` (the dispatcher
-/// guarantees both); sub-products re-enter [`mul_dispatch`].
-fn mul_karatsuba(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+/// guarantees both); sub-products re-enter the ladder. The frame's
+/// temporaries (at most `8m + 4` limbs, `m = ⌈a.len()/2⌉`) come from `ws`.
+fn mul_karatsuba(out: &mut [Limb], a: &[Limb], b: &[Limb], ws: &mut [Limb]) {
     debug_assert!(a.len() >= b.len() && a.len() <= 2 * b.len());
     // Split at m = ceil(a.len()/2).
     let m = a.len().div_ceil(2);
-    let (a0, a1) = a.split_at(m.min(a.len()));
+    if ws.len() < 8 * m + 4 {
+        let mut own = vec![0; scratch_len(a.len(), b.len()).max(8 * m + 4)];
+        return mul_karatsuba(out, a, b, &mut own);
+    }
+    let (a0, a1) = a.split_at(m);
     let (b0, b1) = if b.len() > m {
         b.split_at(m)
     } else {
         (b, &[][..])
     };
+    let (z0, ws) = ws.split_at_mut(2 * m);
+    let (z2, ws) = ws.split_at_mut(2 * m);
+    let (sa, ws) = ws.split_at_mut(m + 1);
+    let (sb, ws) = ws.split_at_mut(m + 1);
+    let (z1, ws) = ws.split_at_mut(2 * m + 2);
 
     // z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1) - z0 - z2.
-    let mut z0 = vec![0; a0.len() + b0.len()];
-    mul_dispatch(&mut z0, a0, b0);
-    z0.truncate(ops::normalized_len(&z0));
-    let mut z2 = vec![0; a1.len() + b1.len().max(1)];
+    let z0 = &mut z0[..a0.len() + b0.len()];
+    z0.fill(0);
+    mul_rec(z0, a0, b0, ws);
+    let z0 = &z0[..ops::normalized_len(z0)];
+    let z2 = &mut z2[..a1.len() + b1.len()];
+    z2.fill(0);
     if !a1.is_empty() && !b1.is_empty() {
-        mul_dispatch(&mut z2, a1, b1);
+        mul_rec(z2, a1, b1, ws);
     }
-    z2.truncate(ops::normalized_len(&z2));
+    let z2 = &z2[..ops::normalized_len(z2)];
 
     // sa = a0 + a1, sb = b0 + b1 (each at most m+1 limbs).
-    let mut sa = vec![0; m + 1];
+    sa.fill(0);
     sa[..a0.len()].copy_from_slice(a0);
-    ops::add_assign(&mut sa, a1);
-    let mut sb = vec![0; m + 1];
+    ops::add_assign(sa, a1);
+    sb.fill(0);
     sb[..b0.len()].copy_from_slice(b0);
-    ops::add_assign(&mut sb, b1);
-    let la = ops::normalized_len(&sa);
-    let lb = ops::normalized_len(&sb);
-    let mut z1 = vec![0; la + lb];
-    mul_dispatch(&mut z1, &sa[..la], &sb[..lb]);
-    let borrow = ops::sub_assign(&mut z1, &z0);
+    ops::add_assign(sb, b1);
+    let la = ops::normalized_len(sa);
+    let lb = ops::normalized_len(sb);
+    let z1 = &mut z1[..la + lb];
+    z1.fill(0);
+    mul_rec(z1, &sa[..la], &sb[..lb], ws);
+    let borrow = ops::sub_assign(z1, z0);
     debug_assert_eq!(borrow, 0);
-    let borrow = ops::sub_assign(&mut z1, &z2);
+    let borrow = ops::sub_assign(z1, z2);
     debug_assert_eq!(borrow, 0);
     // The middle term a0*b1 + a1*b0 always fits in out[m..]; its *slice* may
     // be one limb longer than that, so drop the (provably zero) high limbs.
-    z1.truncate(ops::normalized_len(&z1));
+    let z1 = &z1[..ops::normalized_len(z1)];
 
     // out = z0 + z1 << (32*m) + z2 << (64*m)
-    out[..z0.len()].copy_from_slice(&z0);
-    let carry = ops::add_assign(&mut out[m..], &z1);
+    out[..z0.len()].copy_from_slice(z0);
+    let carry = ops::add_assign(&mut out[m..], z1);
     debug_assert_eq!(carry, 0);
-    let z2n = ops::normalized_len(&z2);
-    if z2n > 0 {
-        let carry = ops::add_assign(&mut out[2 * m..], &z2[..z2n]);
+    if !z2.is_empty() {
+        let carry = ops::add_assign(&mut out[2 * m..], z2);
         debug_assert_eq!(carry, 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Newton–Raphson reciprocal division for large divisors.
 //!
 //! The classical Knuth Algorithm D costs O((la−lb)·lb) limb operations —
-//! quadratic at the remainder tree's million-bit nodes. This module
+//! quadratic at the product tree's million-bit widths. This module
 //! computes a scaled reciprocal `I = ⌊β^{2n}/v⌋` (β = 2³², `n = lb`) by
 //! precision-doubling Newton iteration and divides block by block, so
 //! division rides the same subquadratic multiply ladder as everything
@@ -155,17 +155,18 @@ fn signed_diff(mut a: Vec<Limb>, b: &[Limb]) -> (bool, Vec<Limb>) {
 }
 
 /// Exact base case: `x = ⌊β^{2n}/v⌋ − β^n` by Knuth division, clamped to
-/// all-ones when the true reciprocal is exactly `2β^n`.
-fn invert_knuth(v: &[Limb]) -> Vec<Limb> {
+/// all-ones when the true reciprocal is exactly `2β^n`, with the residue
+/// `e = β^{2n} − (β^n + x)·v` (equal to `v` in the clamped case).
+fn invert_knuth(v: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
     let n = v.len();
-    let i = div_rem_knuth(&beta2n_of(n), v).0;
+    let (i, e) = div_rem_knuth(&beta2n_of(n), v);
     debug_assert_eq!(i.len(), n + 1);
     if i.len() > n && i[n] >= 2 {
-        return vec![Limb::MAX; n];
+        return (vec![Limb::MAX; n], v.to_vec());
     }
     let mut x = i;
     x.truncate(n);
-    x
+    (x, e)
 }
 
 /// Approximate reciprocal: `n` limbs `x` with `β^n + x` within a few
@@ -175,7 +176,7 @@ fn approx_recip(v: &[Limb]) -> Vec<Limb> {
     let n = v.len();
     debug_assert!(n >= 1 && v[n - 1] >> (LIMB_BITS - 1) == 1);
     if n <= INV_BASE_LIMBS {
-        return invert_knuth(v);
+        return invert_knuth(v).0;
     }
 
     // Recurse on the top h limbs with a one-limb overlap past the
@@ -222,8 +223,10 @@ fn approx_recip(v: &[Limb]) -> Vec<Limb> {
 
 /// Exact scaled reciprocal of a normalized divisor as `n` limbs `x` with
 /// `β^n + x = ⌊β^{2n}/v⌋` (understated by one in the `v = β^n/2` edge
-/// case, which preserves the digit estimator's no-overshoot invariant).
-fn invert(v: &[Limb]) -> Vec<Limb> {
+/// case, which preserves the digit estimator's no-overshoot invariant),
+/// and its residue `e = β^{2n} − (β^n + x)·v`, normalized: `0 ≤ e < v`,
+/// or `e = v` in the edge case.
+fn invert(v: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
     let n = v.len();
     debug_assert!(n >= 1 && v[n - 1] >> (LIMB_BITS - 1) == 1);
     if n <= INV_BASE_LIMBS {
@@ -253,6 +256,12 @@ fn invert(v: &[Limb]) -> Vec<Limb> {
             }
             dec(&mut x);
             if ops::cmp(&e, v) != Ordering::Greater {
+                // The deficit e fits in one divisor: the residue is v − e.
+                let mut r = v.to_vec();
+                let borrow = ops::sub_assign(&mut r, &e);
+                debug_assert_eq!(borrow, 0);
+                r.truncate(ops::normalized_len(&r));
+                e = r;
                 break;
             }
             let borrow = ops::sub_assign(&mut e, v);
@@ -265,13 +274,48 @@ fn invert(v: &[Limb]) -> Vec<Limb> {
                 return invert_knuth(v);
             }
             if inc_clamped(&mut x) {
+                // Only v = β^n/2 clamps, and there the residue is v.
+                e = v.to_vec();
                 break;
             }
             let borrow = ops::sub_assign(&mut e, v);
             debug_assert_eq!(borrow, 0);
+            e.truncate(ops::normalized_len(&e));
         }
     }
-    x
+    (x, e)
+}
+
+/// `⌊β^p / v⌋` for a normalized `v` (non-zero top limb) and `p ≥ 2·len(v)`,
+/// from one [`invert`]: with `s` the normalizing shift, `k = p − 2·len(v)`
+/// and `V = v·2^s·β^k` (`n = p − len(v)` limbs), `β^p/v = 2^s·β^{2n}/V`,
+/// so the floor is `2^s·(β^n + x) + ⌊2^s·e/V⌋` where `e ≤ V` is the
+/// residue `invert` leaves. The last term is below `2^s + 1`, one short
+/// division. Callers go through [`crate::div::reciprocal_into`].
+pub(crate) fn reciprocal(v: &[Limb], p: usize) -> Vec<Limb> {
+    let l = v.len();
+    debug_assert!(l >= 1 && v[l - 1] != 0 && p >= 2 * l);
+    let shift = u64::from(v[l - 1].leading_zeros());
+    let k = p - 2 * l;
+    let n = k + l;
+    let mut big: Vec<Limb> = vec![0; n + 1];
+    big[k..n].copy_from_slice(v);
+    ops::shl_in_place(&mut big, shift);
+    big.truncate(n);
+    let (x, e) = invert(&big);
+
+    let mut q = x;
+    q.resize(n, 0);
+    q.extend_from_slice(&[1, 0]);
+    ops::shl_in_place(&mut q, shift);
+    let mut es = e;
+    es.push(0);
+    ops::shl_in_place(&mut es, shift);
+    let (t, _) = div_rem_knuth(&es, &big);
+    let carry = ops::add_assign(&mut q, &t);
+    debug_assert_eq!(carry, 0);
+    q.truncate(ops::normalized_len(&q));
+    q
 }
 
 /// `β^{2n}` as a limb vector (fallback paths).
@@ -316,7 +360,7 @@ pub fn div_rem_newton(a: &[Limb], b: &[Limb]) -> (Vec<Limb>, Vec<Limb>) {
     let lu = ops::normalized_len(&u);
     u.truncate(lu);
 
-    let x = invert(&v);
+    let (x, _) = invert(&v);
 
     // Long division with n-limb "digits", most significant chunk first.
     // Invariant: r < v before each chunk, so R = r·β^t + chunk < v·β^n and
@@ -420,10 +464,11 @@ mod tests {
         for n in [1usize, 2, 3, 8, 16, 17, 24, 40, 70, 100, 130, 200, 257] {
             let mut v = rand_vec(&mut state, n);
             v[n - 1] |= 0x8000_0000; // normalized
-            let x = invert(&v);
+            let (x, e) = invert(&v);
             assert_eq!(x.len(), n, "n={n}");
-            let (q, _r) = div_rem_knuth(&beta2n_of(n), &v);
+            let (q, r) = div_rem_knuth(&beta2n_of(n), &v);
             assert_eq!(materialize(&x, n), q, "n={n}");
+            assert_eq!(e, r, "residue n={n}");
         }
     }
 
@@ -433,8 +478,9 @@ mod tests {
         for n in [4usize, 20, 40] {
             let mut v: Vec<Limb> = vec![0; n];
             v[n - 1] = 0x8000_0000;
-            let x = invert(&v);
+            let (x, e) = invert(&v);
             assert_eq!(x, vec![Limb::MAX; n], "n={n}");
+            assert_eq!(e, v, "n={n}");
         }
     }
 
@@ -451,6 +497,34 @@ mod tests {
             assert!(
                 ops::normalized_len(&diff) <= 1 && diff.first().map_or(0, |&w| w) <= 8,
                 "n={n} diff={diff:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reciprocal_is_exact_floor() {
+        // Every normalizing shift (top limbs of 1 bit up to full), the
+        // β^n/2 clamp edge, and precisions from 2·len(v) upwards.
+        let mut state = 0x7e57_f00d_ba5e_u64;
+        for l in [1usize, 2, 5, 17, 40, 100] {
+            for top in [1u32, 0xff, 0x8000_0000, u32::MAX] {
+                let mut v = rand_vec(&mut state, l);
+                v[l - 1] = top;
+                for p in [2 * l, 2 * l + 1, 2 * l + 7, 3 * l + 2] {
+                    let mut num = vec![0; p + 1];
+                    num[p] = 1;
+                    let (expect, _) = div_rem_knuth(&num, &v);
+                    assert_eq!(reciprocal(&v, p), expect, "l={l} top={top:#x} p={p}");
+                }
+            }
+            let mut edge = vec![0; l];
+            edge[l - 1] = 0x8000_0000;
+            let mut num = vec![0; 2 * l + 3];
+            num[2 * l + 2] = 1;
+            assert_eq!(
+                reciprocal(&edge, 2 * l + 2),
+                div_rem_knuth(&num, &edge).0,
+                "edge l={l}"
             );
         }
     }

@@ -263,10 +263,21 @@ fn residues_mod_prime(k: usize, a: &[Limb], b: Option<&[Limb]>, n: usize) -> Vec
     fa
 }
 
+/// Residues of `a·b` (or `a²` when the operands are the same) for a
+/// size-`n` cyclic transform, all three primes.
+fn residues(a: &[Limb], b: &[Limb], n: usize) -> Residues {
+    let square = core::ptr::eq(a, b) || a == b;
+    let bb = if square { None } else { Some(b) };
+    Residues {
+        per_prime: core::array::from_fn(|k| residues_mod_prime(k, a, bb, n)),
+        n,
+    }
+}
+
 /// CRT-recombine the residues and propagate carries, writing the low
-/// `out.len()` limbs of the product into `out` (which must be exactly the
-/// product length; the final carry must be zero and is debug-asserted).
-fn recombine(res: &Residues, out: &mut [Limb]) {
+/// `out.len()` limbs into `out`; limbs past `out.len()` must be zero
+/// (debug-asserted). Returns the carry out of the top coefficient.
+fn recombine(res: &Residues, out: &mut [Limb]) -> u128 {
     let [p1, p2, p3] = [PRIMES[0].0, PRIMES[1].0, PRIMES[2].0];
     let inv_p1_mod_p2 = powmod(p1, p2 - 2, p2);
     let p1p2 = p1 * p2; // < 2⁶², exact in u64
@@ -301,7 +312,7 @@ fn recombine(res: &Residues, out: &mut [Limb]) {
         }
         carry = acc >> LIMB_BITS;
     }
-    debug_assert_eq!(carry, 0, "NTT carry must be consumed by the result");
+    carry
 }
 
 /// NTT product `a · b` into `out` (zeroed, `out.len() >= la + lb` where
@@ -321,13 +332,35 @@ pub fn mul_ntt_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
     );
     debug_assert!(out.len() >= rl);
     let n = rl.next_power_of_two().max(2);
-    let square = core::ptr::eq(a, b) || (la == lb && a[..la] == b[..lb]);
-    let bb = if square { None } else { Some(&b[..lb]) };
-    let res = Residues {
-        per_prime: core::array::from_fn(|k| residues_mod_prime(k, &a[..la], bb, n)),
-        n,
-    };
-    recombine(&res, &mut out[..rl]);
+    let carry = recombine(&residues(&a[..la], &b[..lb], n), &mut out[..rl]);
+    debug_assert_eq!(carry, 0, "NTT carry must be consumed by the result");
+}
+
+/// Wrapped (cyclic) NTT product over `n = out.len()` points, a power of
+/// two with `la, lb ≤ n` for the normalized operand lengths. Each limb
+/// product `a_i·b_j` with `i + j ≥ n` folds onto position `i + j − n`,
+/// and the carry out of the top is dropped: `out = (L + W) mod β^n`
+/// with `L = a·b mod β^n` and a fold `W ≤ ⌊a·b/β^n⌋ < β^{la+lb−n}`. So
+/// every limb at position `≥ la + lb − n` and below `n` matches the full
+/// product's up to one unit of carry. A caller that keeps only such a window pays the
+/// transform of `n` points instead of `next_power_of_two(la + lb)`: the
+/// batch-GCD descent's truncated multiplies halve their transform this
+/// way. Each wrapped coefficient still sums at most `min(la, lb)`
+/// products, so the CRT range argument of the module docs holds.
+pub fn mul_ntt_wrapped_into(out: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    let n = out.len();
+    let la = ops::normalized_len(a);
+    let lb = ops::normalized_len(b);
+    assert!(
+        n.is_power_of_two() && n <= MAX_NTT_TOTAL_LIMBS && la <= n && lb <= n,
+        "wrapped NTT of {la}x{lb} limbs needs a power-of-two size >= both, got {n}"
+    );
+    if la == 0 || lb == 0 {
+        out.fill(0);
+        return;
+    }
+    // The top carry is the part of L + H at β^n and above: dropped.
+    recombine(&residues(&a[..la], &b[..lb], n), out);
 }
 
 /// Allocating wrapper around [`mul_ntt_into`], normalized result.
@@ -470,10 +503,7 @@ mod tests {
         }
         eprintln!("mul_ntt 8192x8191: {:?}/iter", t0.elapsed() / 20);
 
-        let res = Residues {
-            per_prime: core::array::from_fn(|k| residues_mod_prime(k, &a, None, n)),
-            n,
-        };
+        let res = residues(&a, &a, n);
         let mut out = vec![0u32; 16384];
         let t0 = Instant::now();
         for _ in 0..100 {
@@ -481,6 +511,89 @@ mod tests {
             std::hint::black_box(&out);
         }
         eprintln!("recombine n={n}: {:?}/iter", t0.elapsed() / 100);
+    }
+
+    #[test]
+    fn wrapped_product_keeps_the_high_window() {
+        // Limbs at positions >= la + lb - n equal the full product's up to
+        // one unit of carry into the lowest of them; below, the wrap folds
+        // the high part in. Sizes straddle powers of two (la + lb just
+        // above n), include squares and the all-ones coefficient maximum.
+        let mut state = 0x00c0_ffee_1234_5678_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let shapes = [
+            (1usize, 1usize, 2usize),
+            (2, 1, 2),
+            (3, 2, 4),
+            (5, 4, 8),
+            (9, 8, 16),
+            (33, 32, 64),
+            (64, 1, 64),
+            (64, 64, 64),
+            (100, 30, 128),
+            (129, 128, 256),
+            (257, 255, 512),
+        ];
+        for (la, lb, n) in shapes {
+            for fill in [false, true] {
+                let a: Vec<Limb> = (0..la)
+                    .map(|_| if fill { u32::MAX } else { lo(next()) | 1 << 31 })
+                    .collect();
+                let b: Vec<Limb> = (0..lb)
+                    .map(|_| if fill { u32::MAX } else { lo(next()) | 1 << 31 })
+                    .collect();
+                for b in [&b[..], &a[..]] {
+                    let full = {
+                        let mut f = schoolbook(&a, b);
+                        f.resize(a.len() + b.len(), 0);
+                        f
+                    };
+                    let mut wrapped = vec![0xdead_beef; n];
+                    mul_ntt_wrapped_into(&mut wrapped, &a, b);
+                    let lo_pos = (a.len() + b.len()).saturating_sub(n);
+                    let top = full.len().min(n);
+                    // The window of the full product, and its wrapped view.
+                    let expect = &full[lo_pos..top];
+                    let got = &wrapped[lo_pos..top];
+                    let mut bumped = expect.to_vec();
+                    if !bumped.is_empty() {
+                        ops::add_assign(&mut bumped, &[1]);
+                    }
+                    assert!(
+                        got == expect || (lo_pos > 0 && got == &bumped[..]),
+                        "la={la} lb={} n={n} fill={fill}",
+                        b.len()
+                    );
+                    // The whole output is the cyclic convolution, carried
+                    // mod β^n.
+                    let mut coef = vec![0u128; n];
+                    for (i, &x) in a.iter().enumerate() {
+                        for (j, &y) in b.iter().enumerate() {
+                            coef[(i + j) % n] += x as u128 * y as u128;
+                        }
+                    }
+                    let mut carry = 0u128;
+                    let cyclic: Vec<Limb> = coef
+                        .iter()
+                        .map(|&c| {
+                            let acc = c + carry;
+                            carry = acc >> LIMB_BITS;
+                            lo(acc as u64)
+                        })
+                        .collect();
+                    assert_eq!(wrapped, cyclic, "la={la} lb={} n={n}", b.len());
+                }
+            }
+        }
+        // A zero operand clears the output.
+        let mut out = vec![7; 4];
+        mul_ntt_wrapped_into(&mut out, &[0, 0], &[1, 2]);
+        assert_eq!(out, vec![0; 4]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The batch-GCD baseline (product tree + remainder tree).
+//! The batch-GCD baseline (product tree + scaled remainder tree).
 //!
 //! This is the attack the literature already had when the paper was written
 //! (Heninger et al. / Lenstra et al., implemented by tools like `fastgcd`):
@@ -8,16 +8,56 @@
 //! comparison baseline the repository's benchmarks pit the paper's
 //! pairwise GPU approach against.
 //!
+//! # Scaled remainder tree
+//!
+//! The classical descent carries the integer `P mod v²` from each node `v`
+//! to its children: a square and a `2L/L`-limb division per node. The
+//! descent here follows Bernstein's *Scaled remainder trees* (2004) and
+//! divides nowhere below the root. Every node carries a fixed-point
+//! fraction `Y_v ≈ (P mod v²)/v² · β^{p_v}` (β = 2³²) of `p_v` limbs, and
+//! since `P/c² = (P/v²)·s²` for a child `c` with sibling `s`, the child's
+//! fraction is one truncated multiply:
+//! `Y_c = ⌊Y_v·s² / β^{p_v − p_c}⌋ mod β^{p_c}`.
+//!
+//! * **Precision**, in limbs, bottom-up: a leaf `n` has `len(n) + 1`; a
+//!   paired node has `max(p_{c₁} + 2·len(c₂), p_{c₂} + 2·len(c₁))`, so
+//!   `s² < β^{p_v − p_c}` for either child; an unpaired node carries its
+//!   child's fraction unchanged (same precision, no multiply).
+//! * **Root**: `Y = ⌊β^p / P⌋` through [`reciprocal_into`] (Knuth below
+//!   the Newton-division cutoff, one Newton reciprocal above it).
+//! * **Wrapped product**: once `n = next_power_of_two(p_v)` reaches the
+//!   NTT cutoff, the product is a cyclic NTT of `n` points
+//!   ([`mul_ntt_wrapped_into`]) instead of the full `p_v × len(s²)` one.
+//!   Its fold lands below the kept window, because
+//!   `len(s²) ≤ p_v − p_c`, and moves the window by at most one unit of
+//!   carry.
+//! * **Leaf**: `w = ⌊(Y·n + β^p/2) / β^p⌋` is `(P mod n²)/n` exactly, or
+//!   `n` where that is 0 (a fraction just below 1), and the result is
+//!   `gcd(w, n)`. A modulus that occurs twice gives 0, so its result is
+//!   `n` itself.
+//!
+//! **Why it is exact.** Read every `Y` on the circle mod `β^p` and let
+//! `e` be its distance from the true scaled fraction. The root's floor
+//! gives `e < 1`. A step scales the parent's error by
+//! `s²/β^{p_v−p_c} < 1` and adds under one unit (truncation and fold
+//! carry pull in opposite directions), so after the `D ≤ ⌈log₂ m⌉`
+//! steps to a leaf `e < D + 1`. At the leaf that is an error of under
+//! `(D + 1)·n/β^{len(n)+1} < (D + 1)/β < 1/2` in `Y·n/β^p`, and rounding
+//! recovers `w` exactly. The output is bit-identical to the exact tree's.
+//!
 //! The tree arithmetic rides the `bulkgcd-bigint` dispatch ladder
-//! (Toom-3/NTT multiply, Newton division, half-GCD), and the hot descent
-//! is scratch-reusing: [`batch_gcd_into`] threads a [`BatchScratch`]
-//! through every node so the steady state performs no allocations below
-//! the subquadratic cutoffs (pinned by `tests/alloc_steady_state.rs`).
+//! (Toom-3/NTT multiply, Newton reciprocal, half-GCD), and the descent is
+//! scratch-reusing: [`batch_gcd_into`] threads a [`BatchScratch`] through
+//! every node, so the steady state performs no allocations below the
+//! Toom-3 and Newton cutoffs (pinned by `tests/alloc_steady_state.rs`).
+//! [`batch_gcd_parallel`] runs the same step function level by level
+//! across the rayon pool.
 
-use bulkgcd_bigint::div::DivScratch;
+use bulkgcd_bigint::div::{reciprocal_into, DivScratch};
 use bulkgcd_bigint::hgcd::gcd_into;
-use bulkgcd_bigint::{Limb, Nat};
-use core::mem;
+use bulkgcd_bigint::mul::{mul_dispatch_with, MulScratch};
+use bulkgcd_bigint::ntt::{mul_ntt_wrapped_into, MAX_NTT_TOTAL_LIMBS};
+use bulkgcd_bigint::{ops, thresholds, Limb, Nat, LIMB_BITS};
 use rayon::prelude::*;
 
 /// A bottom-up product tree: `levels[0]` are the inputs, each higher level
@@ -29,8 +69,8 @@ pub struct ProductTree {
 }
 
 impl ProductTree {
-    /// Build the tree. Empty input yields a single level `[1]`... no:
-    /// empty input is rejected (no meaningful product).
+    /// Build the tree. Panics on empty input, which has no meaningful
+    /// product.
     pub fn build(moduli: &[Nat]) -> ProductTree {
         assert!(!moduli.is_empty(), "product tree of nothing");
         let mut prev = moduli.to_vec();
@@ -72,33 +112,44 @@ impl ProductTree {
     }
 }
 
-/// Working memory for [`batch_gcd_into`]: the product-tree levels, the two
-/// remainder-level ping-pong buffers, and all per-node temporaries. A warm
-/// scratch makes repeated batches over same-shaped corpora allocation-free
-/// in the steady state (below the subquadratic cutoffs, whose algorithms
-/// allocate internally by design).
+/// Working memory of the descent steps, reused from node to node.
+#[derive(Default)]
+struct StepScratch {
+    /// The sibling's square `s²`; at a leaf, the recovered `w`.
+    sq: Nat,
+    /// The product `Y_v·s²` (full, or wrapped on the NTT rung); at a
+    /// leaf, `Y·n`.
+    prod: Vec<Limb>,
+    /// Karatsuba/chop workspace for the products below the NTT rung.
+    mul: MulScratch,
+    /// A leaf's fraction, consumed at once by [`leaf_gcd`].
+    leaf: Vec<Limb>,
+    /// Binary-GCD scratch for the leaf step.
+    gx: Vec<Limb>,
+    /// Second binary-GCD scratch buffer.
+    gy: Vec<Limb>,
+}
+
+/// Working memory for [`batch_gcd_into`]: the product-tree levels, their
+/// fixed-point precisions, the two fraction levels of the descent and the
+/// per-node temporaries. A warm scratch makes repeated batches over
+/// same-shaped corpora allocation-free in the steady state (below the
+/// Toom-3 and Newton cutoffs, whose algorithms allocate internally by
+/// design).
 #[derive(Default)]
 pub struct BatchScratch {
     /// Computed product-tree levels, pairwise-up from the moduli
     /// (`levels[0]` pairs the inputs; the last built level is the root).
     levels: Vec<Vec<Nat>>,
-    /// Current remainder level of the descent.
-    rems: Vec<Nat>,
-    /// Next remainder level (ping-pong partner of `rems`).
-    next: Vec<Nat>,
-    /// Squared node `n²` of the current descent step.
-    sq: Nat,
-    /// Quotient sink for divisions whose quotient is needed (final step)
-    /// or discarded (descent).
-    q: Nat,
-    /// Remainder sink for the final exact division.
-    r: Nat,
-    /// Knuth division working memory.
+    /// `prec[i][j]`: fixed-point precision (limbs) of `levels[i][j]`.
+    prec: Vec<Vec<usize>>,
+    /// Descent fractions: tree level `i` lives in `ys[i % 2]`, so each
+    /// buffer sees the same sizes on every same-shaped batch.
+    ys: [Vec<Vec<Limb>>; 2],
+    /// Root reciprocal working memory.
     div: DivScratch,
-    /// Binary-GCD scratch for the final per-modulus step.
-    gx: Vec<Limb>,
-    /// Second binary-GCD scratch buffer.
-    gy: Vec<Limb>,
+    /// Per-node step temporaries.
+    step: StepScratch,
 }
 
 impl BatchScratch {
@@ -110,9 +161,9 @@ impl BatchScratch {
 
 /// Grow a scratch level to at least `n` slots. Never shrinks: slots left
 /// over from a larger batch keep their buffers for reuse.
-fn grow_to(v: &mut Vec<Nat>, n: usize) {
+fn grow_to<T: Default>(v: &mut Vec<T>, n: usize) {
     if v.len() < n {
-        v.resize_with(n, Nat::default);
+        v.resize_with(n, T::default);
     }
 }
 
@@ -126,9 +177,116 @@ fn level_width(m: usize, ci: usize) -> usize {
     w
 }
 
+/// The node sharing a parent with `nodes[idx]`, if it has one.
+fn sibling(nodes: &[Nat], idx: usize) -> Option<&Nat> {
+    nodes.get(idx ^ 1)
+}
+
+/// Fill `prec` with the fixed-point precision of every node of `levels`
+/// (live widths only), bottom-up from the leaves' `len(n) + 1`.
+fn fill_precisions(moduli: &[Nat], levels: &[Vec<Nat>], prec: &mut Vec<Vec<usize>>) {
+    let m = moduli.len();
+    grow_to(prec, levels.len());
+    for i in 0..levels.len() {
+        let (below, rest) = prec.split_at_mut(i);
+        let child = |k: usize| -> (usize, usize) {
+            match i.checked_sub(1) {
+                None => (moduli[k].len(), moduli[k].len() + 1),
+                Some(b) => (levels[b][k].len(), below[b][k]),
+            }
+        };
+        let children = if i == 0 { m } else { level_width(m, i - 1) };
+        let cur = &mut rest[0];
+        cur.clear();
+        cur.extend((0..level_width(m, i)).map(|j| {
+            let (la, pa) = child(2 * j);
+            if 2 * j + 1 < children {
+                let (lb, pb) = child(2 * j + 1);
+                (pa + 2 * lb).max(pb + 2 * la)
+            } else {
+                pa
+            }
+        }));
+    }
+}
+
+/// The root's fraction `⌊β^p / P⌋`, as exactly `p` limbs (mod `β^p`,
+/// which only bites for `P = 1`).
+fn root_fraction(root: &Nat, p: usize, y: &mut Vec<Limb>, div: &mut DivScratch) {
+    reciprocal_into(root.limbs(), p, y, div);
+    y.resize(p, 0);
+}
+
+/// One descent step: the fraction of a child at precision `p_c` from its
+/// parent's fraction `y` (`p_v = y.len()` limbs) and its sibling,
+/// `⌊y·s² / β^{p_v − p_c}⌋ mod β^{p_c}`, written to `out` as exactly `p_c`
+/// limbs. An unpaired child (`None`) keeps its parent's fraction.
+fn descend(y: &[Limb], sib: Option<&Nat>, p_c: usize, out: &mut Vec<Limb>, sx: &mut StepScratch) {
+    let p_v = y.len();
+    let d = p_v - p_c;
+    out.clear();
+    let Some(s) = sib else {
+        out.extend_from_slice(&y[d..]);
+        return;
+    };
+    s.square_into(&mut sx.sq);
+    let s2 = sx.sq.limbs();
+    let y = &y[..ops::normalized_len(y)];
+    let prod = &mut sx.prod;
+    prod.clear();
+    let n = p_v.next_power_of_two();
+    // The wrapped product takes the NTT rung once its transform reaches
+    // the cutoff: an n-point transform then beats the p_v × len(s²)
+    // product it replaces (on x86-64, 1.3–1.5× at 1017 × 512 limbs; at
+    // 512 points Toom still wins). len(s²) ≤ d, so the fold lands below
+    // [d, p_v).
+    if n >= thresholds::NTT.get() && n <= MAX_NTT_TOTAL_LIMBS {
+        prod.resize(n, 0);
+        mul_ntt_wrapped_into(prod, y, s2);
+    } else {
+        prod.resize(y.len() + s2.len(), 0);
+        mul_dispatch_with(prod, y, s2, &mut sx.mul);
+    }
+    let top = prod.len().min(p_v);
+    out.extend_from_slice(prod.get(d..top).unwrap_or(&[]));
+    out.resize(p_c, 0);
+}
+
+/// The leaf step: the fraction of modulus `n` from its parent's `y`,
+/// then `w = ⌊(Y·n + β^p/2) / β^p⌋`, which is `(P mod n²)/n` exactly
+/// (or `n` for 0); writes `gcd(w, n)` to `out`.
+fn leaf_gcd(y: &[Limb], sib: Option<&Nat>, n: &Nat, sx: &mut StepScratch, out: &mut Nat) {
+    let p = n.len() + 1;
+    let mut leaf = core::mem::take(&mut sx.leaf);
+    descend(y, sib, p, &mut leaf, sx);
+    let StepScratch {
+        sq,
+        prod,
+        mul,
+        gx,
+        gy,
+        ..
+    } = sx;
+    prod.clear();
+    prod.resize(p + n.len(), 0);
+    mul_dispatch_with(prod, &leaf[..ops::normalized_len(&leaf)], n.limbs(), mul);
+    sx.leaf = leaf;
+    // Y·n + β^p/2 < β^p·(n + 1/2): no carry out of the buffer.
+    let carry = ops::add_assign(&mut prod[p - 1..], &[1 << (LIMB_BITS - 1)]);
+    debug_assert_eq!(carry, 0);
+    // A fraction just below 1 rounds to w = n, which stands for 0: both
+    // give gcd = n, so w needs no reduction.
+    sq.assign_limbs(&prod[p..]);
+    gcd_into(sq, n, gx, gy, out);
+}
+
 /// For every modulus, compute `gcd(n_i, (P mod n_i²) / n_i)` by descending
-/// a remainder tree. The result is > 1 exactly for moduli sharing a prime
-/// with some other modulus (or appearing twice).
+/// a scaled remainder tree (see the module docs): after the root
+/// reciprocal, one truncated multiply per node, each fraction within
+/// `D + 1` units of the true one at depth `D`, and a rounding at the leaf
+/// that recovers `(P mod n_i²)/n_i` exactly. The result is > 1 exactly for
+/// moduli sharing a prime with some other modulus (or appearing twice).
+/// Moduli must be non-zero.
 ///
 /// ```
 /// use bulkgcd_bigint::Nat;
@@ -152,8 +310,8 @@ pub fn batch_gcd(moduli: &[Nat]) -> Vec<Nat> {
 }
 
 /// [`batch_gcd`] with caller-owned scratch and output: repeated calls over
-/// same-shaped corpora reuse every buffer — tree levels, remainder
-/// ping-pong, division scratch, GCD scratch and the result `Nat`s.
+/// same-shaped corpora reuse every buffer — tree levels, precisions,
+/// fraction levels, multiply/division/GCD scratch and the result `Nat`s.
 pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<Nat>) {
     out.resize_with(moduli.len(), Nat::default);
     if moduli.len() < 2 {
@@ -164,14 +322,10 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
     }
     let BatchScratch {
         levels,
-        rems,
-        next,
-        sq,
-        q,
-        r,
+        prec,
+        ys,
         div,
-        gx,
-        gy,
+        step,
     } = scratch;
 
     // Product tree, bottom-up. `levels[0]` pairs the moduli themselves, so
@@ -209,49 +363,46 @@ pub fn batch_gcd_into(moduli: &[Nat], scratch: &mut BatchScratch, out: &mut Vec<
         nl += 1;
         width = next_w;
     }
+    let levels = &levels[..nl];
+    fill_precisions(moduli, levels, prec);
 
-    // Remainder tree, top down: rem[v] = parent_rem mod node[v]².
-    grow_to(rems, 1);
-    rems[0].assign_limbs(levels[nl - 1][0].limbs());
+    // Scaled remainder tree, top down: level i's fractions in ys[i % 2].
+    let [even, odd] = ys;
+    let root_ys = if nl % 2 == 1 { &mut *even } else { &mut *odd };
+    grow_to(root_ys, 1);
+    root_fraction(&levels[nl - 1][0], prec[nl - 1][0], &mut root_ys[0], div);
     for ci in (0..nl - 1).rev() {
+        let (dst, src) = if ci % 2 == 0 {
+            (&mut *even, &*odd)
+        } else {
+            (&mut *odd, &*even)
+        };
         let nodes = &levels[ci][..level_width(m, ci)];
-        grow_to(next, nodes.len());
-        for (idx, node) in nodes.iter().enumerate() {
-            node.square_into(sq);
-            rems[idx / 2].div_rem_into(&*sq, q, &mut next[idx], div);
+        grow_to(dst, nodes.len());
+        for (idx, y) in dst.iter_mut().take(nodes.len()).enumerate() {
+            descend(&src[idx / 2], sibling(nodes, idx), prec[ci][idx], y, step);
         }
-        mem::swap(rems, next);
     }
-    // The leaf level: the moduli themselves.
-    grow_to(next, m);
-    for (idx, node) in moduli.iter().enumerate() {
-        node.square_into(sq);
-        rems[idx / 2].div_rem_into(&*sq, q, &mut next[idx], div);
-    }
-    mem::swap(rems, next);
-
-    // Final per-modulus step: z = P mod n², gcd(n, z/n).
-    for (i, n) in moduli.iter().enumerate() {
-        rems[i].div_rem_into(n, q, r, div);
-        debug_assert!(r.is_zero(), "P mod n^2 is a multiple of n");
-        gcd_into(q, n, gx, gy, &mut out[i]);
+    // The leaves: the moduli themselves, under levels[0]'s fractions.
+    for (idx, n) in moduli.iter().enumerate() {
+        leaf_gcd(&even[idx / 2], sibling(moduli, idx), n, step, &mut out[idx]);
     }
 }
 
 /// Parallel [`batch_gcd`]: same computation with every tree level mapped
 /// across the rayon pool. The level-by-level data dependence is inherent
-/// (each remainder needs its parent), but levels are wide near the leaves
-/// — exactly where the squarings are numerous. Per-worker scratch
+/// (each fraction needs its parent's), but levels are wide near the leaves
+/// — exactly where the nodes are numerous. Per-worker scratch
 /// (`map_init`) keeps the per-node temporaries off the allocator.
 pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
     if moduli.len() < 2 {
         return moduli.iter().map(|_| Nat::one()).collect();
     }
-    // Product tree, parallel within each level.
-    let mut prev = moduli.to_vec();
-    let mut levels = Vec::new();
-    while prev.len() > 1 {
-        let next: Vec<Nat> = prev
+    // Product tree above the leaves, parallel within each level.
+    let mut levels: Vec<Vec<Nat>> = Vec::new();
+    while levels.last().map_or(moduli.len(), Vec::len) > 1 {
+        let below = levels.last().map_or(moduli, |l| &l[..]);
+        let next: Vec<Nat> = below
             .par_chunks(2)
             .map(|chunk| match chunk {
                 [a, b] => a.mul(b),
@@ -259,49 +410,35 @@ pub fn batch_gcd_parallel(moduli: &[Nat]) -> Vec<Nat> {
                 _ => unreachable!(),
             })
             .collect();
-        levels.push(prev);
-        prev = next;
+        levels.push(next);
     }
-    // prev is now the single-entry root level.
-    let mut rems: Vec<Nat> = prev.clone();
-    levels.push(prev);
-    for level in (0..levels.len() - 1).rev() {
-        let nodes = &levels[level];
-        rems = nodes
+    let mut prec = Vec::new();
+    fill_precisions(moduli, &levels, &mut prec);
+
+    let nl = levels.len();
+    let mut ys = vec![Vec::new()];
+    let (root, p_root) = (&levels[nl - 1][0], prec[nl - 1][0]);
+    root_fraction(root, p_root, &mut ys[0], &mut DivScratch::new());
+    for ci in (0..nl - 1).rev() {
+        let nodes = &levels[ci];
+        ys = nodes
             .par_iter()
             .enumerate()
-            .map_init(
-                || (Nat::default(), Nat::default(), DivScratch::new()),
-                |(sq, q, div), (idx, node)| {
-                    node.square_into(sq);
-                    let mut rem = Nat::default();
-                    rems[idx / 2].div_rem_into(&*sq, q, &mut rem, div);
-                    rem
-                },
-            )
+            .map_init(StepScratch::default, |sx, (idx, _)| {
+                let mut y = Vec::new();
+                descend(&ys[idx / 2], sibling(nodes, idx), prec[ci][idx], &mut y, sx);
+                y
+            })
             .collect();
     }
     moduli
         .par_iter()
-        .zip(&rems)
-        .map_init(
-            || {
-                (
-                    Nat::default(),
-                    Nat::default(),
-                    DivScratch::new(),
-                    Vec::new(),
-                    Vec::new(),
-                )
-            },
-            |(q, r, div, gx, gy), (n, z)| {
-                z.div_rem_into(n, q, r, div);
-                debug_assert!(r.is_zero());
-                let mut g = Nat::default();
-                gcd_into(q, n, gx, gy, &mut g);
-                g
-            },
-        )
+        .enumerate()
+        .map_init(StepScratch::default, |sx, (idx, n)| {
+            let mut g = Nat::default();
+            leaf_gcd(&ys[idx / 2], sibling(moduli, idx), n, sx, &mut g);
+            g
+        })
         .collect()
 }
 
